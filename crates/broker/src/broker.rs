@@ -6,12 +6,14 @@
 //! [`dps::Hub`] sessions do — the overlay cannot tell a served client from a
 //! simulated one. The broker is a **single-threaded, non-blocking event
 //! loop**: one [`Broker::pump`] call accepts pending connections, reads and
-//! applies every decodable client frame, advances the overlay simulation a
-//! fixed number of steps, fans matched deliveries out to sessions (gated by
-//! per-subscription credit), and flushes output buffers. Driven in lockstep
-//! over a [`ChannelTransport`](crate::transport::ChannelTransport) this is
-//! fully deterministic; [`Broker::serve`] wraps it in a wall-clock loop for
-//! socket deployments.
+//! applies every decodable client frame, sends the replies (acks) at once,
+//! advances the overlay simulation a fixed number of steps, fans matched
+//! deliveries out to sessions (gated by per-subscription credit), and
+//! flushes output buffers. Driven in lockstep over a
+//! [`ChannelTransport`](crate::transport::ChannelTransport) this is fully
+//! deterministic; [`Broker::serve`] wraps it in a wall-clock loop for socket
+//! deployments that sleeps in [`wait_ready`](crate::transport::wait_ready)
+//! between turns and wakes as soon as a client sends something.
 //!
 //! # Backpressure
 //!
@@ -23,14 +25,21 @@
 //! session's socket.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::os::fd::BorrowedFd;
+use std::time::Duration;
 
 use dps::{DpsConfig, DpsError, DpsNetwork};
 use dps_content::{SharedEvent, SharedFilter};
 use dps_overlay::PubId;
 use dps_sim::NodeId;
 
-use crate::transport::{Connection, Listener};
+use crate::transport::{self, Connection, Listener};
 use crate::wire::{self, Frame, FrameReader, PubRef, WireError, PROTOCOL_VERSION};
+
+/// Longest [`Broker::serve`] waits for input between turns: with every client
+/// quiet, the overlay's own timers (heartbeats, retries, in-flight
+/// dissemination) still advance at least this often.
+const IDLE_TICK: Duration = Duration::from_micros(500);
 
 /// Tuning knobs for a [`Broker`].
 #[derive(Debug, Clone)]
@@ -93,12 +102,28 @@ struct SessionState {
 
 impl SessionState {
     fn queue(&mut self, frame: &Frame) {
-        match wire::encode(frame) {
-            Ok(bytes) => self.out.extend(bytes),
-            // Only an over-sized frame can fail here; drop the session rather
-            // than send it a half-encoded stream.
-            Err(_) => self.dead = true,
+        // Only an over-sized frame can fail here; drop the session rather
+        // than send it a half-encoded stream.
+        if wire::encode_into(frame, &mut self.out).is_err() {
+            self.dead = true;
         }
+    }
+
+    /// Writes as much buffered output as the link takes without blocking.
+    /// Errs only when the link failed.
+    fn write_out(&mut self) -> std::io::Result<()> {
+        while !self.out.is_empty() {
+            let (head, _) = self.out.as_slices();
+            match self.conn.send(head) {
+                Ok(0) => break,
+                Ok(n) => {
+                    self.out.drain(..n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -160,15 +185,22 @@ impl Broker {
         &mut self.net
     }
 
-    /// One event-loop turn: accept, read+apply, step the overlay, fan out
-    /// deliveries, flush. Never blocks. Returns the number of client frames
-    /// applied, which lockstep drivers use as a settling signal.
+    /// One event-loop turn: accept, read+apply, flush the replies, step the
+    /// overlay, fan out deliveries, flush. Never blocks. Returns the number of
+    /// client frames applied, which lockstep drivers use as a settling signal.
     pub fn pump(&mut self) -> std::io::Result<usize> {
         self.accept_pending()?;
         let mut applied = 0;
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         for id in &ids {
             applied += self.read_session(*id);
+        }
+        // Replies to the frames just applied (acks, `Hello`) leave before the
+        // overlay steps, so a request's round trip does not wait out the step
+        // batch. A link that fails here is marked dead by the end-of-turn
+        // flush.
+        for s in self.sessions.values_mut().filter(|s| !s.dead) {
+            let _ = s.write_out();
         }
         self.net.run(self.cfg.steps_per_pump);
         for id in &ids {
@@ -178,16 +210,41 @@ impl Broker {
         Ok(applied)
     }
 
-    /// Wall-clock serving loop: pumps until `stop` returns true, sleeping
-    /// briefly whenever a turn was idle.
+    /// Wall-clock serving loop: pumps until `stop` returns true. Between
+    /// turns it waits until the listener or a session the next turn will read
+    /// is readable, for at most a 500 µs idle tick, so a client's frame is
+    /// picked up as soon as it lands. Sources without a descriptor
+    /// (in-process transports) are only picked up on the tick.
+    ///
+    /// A served broker forgets each turn's per-publication history
+    /// ([`DpsNetwork::clear_history`]) after the turn, so memory stays flat
+    /// however long it runs; [`network`](Self::network)'s reports and
+    /// delivery ratios then cover at most the last turn. Drivers that want
+    /// the full oracle history call [`pump`](Self::pump) themselves.
     pub fn serve(&mut self, mut stop: impl FnMut() -> bool) -> std::io::Result<()> {
         while !stop() {
-            let applied = self.pump()?;
-            if applied == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(500));
-            }
+            self.pump()?;
+            self.net.clear_history();
+            transport::wait_ready(&self.wait_set(), &[], IDLE_TICK)?;
         }
         Ok(())
+    }
+
+    /// The descriptors [`serve`](Self::serve) waits on: the listener and
+    /// every session the next pump reads. Closing and dead sessions are left
+    /// out — their unread input (or a peer's hang-up) would keep them
+    /// readable and spin the loop until they are reaped.
+    fn wait_set(&self) -> Vec<BorrowedFd<'_>> {
+        self.listener
+            .fd()
+            .into_iter()
+            .chain(
+                self.sessions
+                    .values()
+                    .filter(|s| !s.closing && !s.dead)
+                    .filter_map(|s| s.conn.fd()),
+            )
+            .collect()
     }
 
     fn accept_pending(&mut self) -> std::io::Result<()> {
@@ -468,20 +525,16 @@ impl Broker {
                 }
             }
         }
-        let mut emitted: Vec<Frame> = Vec::new();
-        let mut out_len = s.out.len();
         for st in s.subs.values_mut() {
-            while st.credit > 0 && !st.pending.is_empty() && out_len < self.cfg.max_outbuf {
-                let f = st.pending.pop_front().expect("non-empty");
-                // Frame overhead is dominated by the event body; an estimate
-                // is enough for the high-water mark.
-                out_len += 64 + f.approx_len();
+            while st.credit > 0 && s.out.len() < self.cfg.max_outbuf {
+                let Some(f) = st.pending.pop_front() else {
+                    break;
+                };
                 st.credit -= 1;
-                emitted.push(f);
+                if wire::encode_into(&f, &mut s.out).is_err() {
+                    s.dead = true;
+                }
             }
-        }
-        for f in emitted {
-            s.queue(&f);
         }
     }
 
@@ -493,19 +546,8 @@ impl Broker {
                 done.push(*id);
                 continue;
             }
-            while !s.out.is_empty() {
-                let (head, _) = s.out.as_slices();
-                match s.conn.send(head) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        s.out.drain(..n);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        s.dead = true;
-                        break;
-                    }
-                }
+            if s.write_out().is_err() {
+                s.dead = true;
             }
             if s.closing && s.out.is_empty() {
                 s.conn.shutdown();
@@ -517,18 +559,6 @@ impl Broker {
             self.teardown(id);
             self.sessions.remove(&id);
             self.log(&format!("session {id}: gone"));
-        }
-    }
-}
-
-impl Frame {
-    /// Rough encoded size, used only for the output high-water mark.
-    fn approx_len(&self) -> usize {
-        match self {
-            Frame::Deliver { event, .. } | Frame::Publish { event, .. } => {
-                event.to_string().len() * 2
-            }
-            _ => 64,
         }
     }
 }
@@ -548,5 +578,166 @@ pub fn wire_to_dps(e: WireError) -> DpsError {
         WireError::Io(m) => DpsError::Transport(m),
         WireError::Closed => DpsError::SessionClosed,
         other => DpsError::Protocol(other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{ChannelTransport, Transport, UnixTransport};
+    use std::sync::{Arc, Mutex};
+
+    /// A server-side connection that keeps the bytes of every `send` call.
+    struct Recording {
+        inner: Box<dyn Connection>,
+        sends: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Connection for Recording {
+        fn send(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.inner.send(buf)?;
+            self.sends.lock().unwrap().push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn recv(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inner.recv(buf)
+        }
+
+        fn shutdown(&mut self) {
+            self.inner.shutdown();
+        }
+    }
+
+    struct RecordingListener {
+        inner: Box<dyn Listener>,
+        sends: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Listener for RecordingListener {
+        fn accept(&mut self) -> std::io::Result<Option<Box<dyn Connection>>> {
+            Ok(self.inner.accept()?.map(|inner| {
+                Box::new(Recording {
+                    inner,
+                    sends: self.sends.clone(),
+                }) as Box<dyn Connection>
+            }))
+        }
+
+        fn local_addr(&self) -> String {
+            self.inner.local_addr()
+        }
+    }
+
+    fn decode_all(bytes: &[u8]) -> Vec<Frame> {
+        let mut r = FrameReader::new();
+        r.feed(bytes);
+        std::iter::from_fn(|| r.next_frame().unwrap()).collect()
+    }
+
+    #[test]
+    fn replies_leave_before_the_overlay_steps() {
+        let t = ChannelTransport::new();
+        let sends = Arc::new(Mutex::new(Vec::new()));
+        let listener = RecordingListener {
+            inner: t.listen("hub").unwrap(),
+            sends: sends.clone(),
+        };
+        // Enough steps per turn that a publication reaches the publisher's
+        // own subscription within the turn that acks it.
+        let cfg = BrokerConfig {
+            background_nodes: 2,
+            warmup_steps: 10,
+            steps_per_pump: 64,
+            ..BrokerConfig::default()
+        };
+        let mut broker = Broker::new(cfg, Box::new(listener));
+        let mut client = t.connect("hub").unwrap();
+        let mut send = |f: &Frame| {
+            let bytes = wire::encode(f).unwrap();
+            assert_eq!(client.send(&bytes).unwrap(), bytes.len());
+        };
+        send(&Frame::Hello {
+            version: PROTOCOL_VERSION,
+            session: None,
+        });
+        send(&Frame::Subscribe {
+            seq: 1,
+            sub: 1,
+            filter: "price > 0".parse::<dps_content::Filter>().unwrap().into(),
+            credit: 64,
+        });
+        for _ in 0..8 {
+            broker.pump().unwrap();
+        }
+
+        sends.lock().unwrap().clear();
+        send(&Frame::Publish {
+            seq: 2,
+            event: "price = 5".parse::<dps_content::Event>().unwrap().into(),
+        });
+        broker.pump().unwrap();
+        let turn: Vec<Vec<Frame>> = sends
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|b| decode_all(b))
+            .collect();
+        assert_eq!(turn.len(), 2, "one write for the ack, one for the delivery");
+        assert!(
+            matches!(
+                turn[0][..],
+                [Frame::Ack {
+                    seq: 2,
+                    error: None,
+                    ..
+                }]
+            ),
+            "the ack is written on its own, before the overlay steps: {turn:?}"
+        );
+        assert!(
+            matches!(turn[1][..], [Frame::Deliver { sub: 1, .. }]),
+            "the turn's delivery follows: {turn:?}"
+        );
+    }
+
+    #[test]
+    fn serve_waits_on_neither_closing_nor_dead_sessions() {
+        let dir = std::env::temp_dir().join(format!("dps-waitset-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let addr = dir.join("b.sock").display().to_string();
+        let cfg = BrokerConfig {
+            background_nodes: 2,
+            warmup_steps: 0,
+            ..BrokerConfig::default()
+        };
+        let mut broker = Broker::new(cfg, UnixTransport.listen(&addr).unwrap());
+        let quiet = UnixTransport.connect(&addr).unwrap();
+        let hung_up = UnixTransport.connect(&addr).unwrap();
+        let mut chatty = UnixTransport.connect(&addr).unwrap();
+        broker.pump().unwrap();
+        assert_eq!(broker.session_count(), 3);
+
+        // One peer hangs up, another sends bytes nobody has read yet: both
+        // descriptors are readable.
+        drop(hung_up);
+        chatty.send(b"unread").unwrap();
+        let timeout = Duration::from_millis(20);
+        assert_eq!(
+            transport::wait_ready(&broker.wait_set(), &[], timeout).unwrap(),
+            2
+        );
+
+        // Once their sessions are closing (a `Close` still unflushed) or
+        // dead, the next pump reads neither, so serve must not wake on them.
+        broker.sessions.get_mut(&2).unwrap().closing = true;
+        broker.sessions.get_mut(&3).unwrap().dead = true;
+        assert_eq!(broker.wait_set().len(), 2, "the listener and one session");
+        assert_eq!(
+            transport::wait_ready(&broker.wait_set(), &[], timeout).unwrap(),
+            0
+        );
+        drop((quiet, chatty, broker));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

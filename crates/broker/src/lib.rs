@@ -16,7 +16,8 @@
 //! socket; the `dps-client` crate implements the client side with the same
 //! `Session`/`Publisher`/`Subscriber` shape as `dps::session`.
 
-#![forbid(unsafe_code)]
+// The one exception is the `ppoll(2)` call in `transport::wait_ready`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod broker;
@@ -24,5 +25,5 @@ pub mod transport;
 pub mod wire;
 
 pub use broker::{Broker, BrokerConfig, LogSink};
-pub use transport::{ChannelTransport, Connection, Listener, Transport, UnixTransport};
+pub use transport::{wait_ready, ChannelTransport, Connection, Listener, Transport, UnixTransport};
 pub use wire::{Frame, FrameReader, PubRef, WireError, MAX_FRAME, PROTOCOL_VERSION};

@@ -21,12 +21,23 @@
 //! right now", `Ok(0)` from `recv` means the peer closed cleanly. The broker's
 //! event loop relies on this: it must never park inside one session's socket
 //! while other sessions have work.
+//!
+//! # Readiness
+//!
+//! Instead of parking in a socket, the broker and the client park in
+//! [`wait_ready`] on every descriptor at once (`ppoll(2)`), and wake as soon
+//! as any of them has input. Connections and listeners expose their
+//! descriptor through `fd()`; in-process transports have none and return
+//! `None`, so a waiter can only time out on them.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
+use std::os::fd::{AsFd, AsRawFd, BorrowedFd};
+use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// One ordered, bidirectional byte stream (non-blocking; see module docs).
 pub trait Connection: Send {
@@ -38,6 +49,10 @@ pub trait Connection: Send {
     fn recv(&mut self, buf: &mut [u8]) -> io::Result<usize>;
     /// Closes the write side; the peer's next `recv` drains to `Ok(0)`.
     fn shutdown(&mut self);
+    /// The descriptor [`wait_ready`] can block on, if the transport has one.
+    fn fd(&self) -> Option<BorrowedFd<'_>> {
+        None
+    }
 }
 
 /// Accepts inbound [`Connection`]s (non-blocking).
@@ -46,6 +61,11 @@ pub trait Listener: Send {
     fn accept(&mut self) -> io::Result<Option<Box<dyn Connection>>>;
     /// The address this listener is bound to, for logs.
     fn local_addr(&self) -> String;
+    /// The descriptor [`wait_ready`] can block on (readable when a connection
+    /// is pending), if the transport has one.
+    fn fd(&self) -> Option<BorrowedFd<'_>> {
+        None
+    }
 }
 
 /// A way of reaching (and serving) brokers: names addresses, mints listeners
@@ -81,6 +101,10 @@ impl Connection for UnixConn {
     fn shutdown(&mut self) {
         let _ = self.0.shutdown(std::net::Shutdown::Write);
     }
+
+    fn fd(&self) -> Option<BorrowedFd<'_>> {
+        Some(self.0.as_fd())
+    }
 }
 
 struct UnixAcceptor {
@@ -102,6 +126,10 @@ impl Listener for UnixAcceptor {
 
     fn local_addr(&self) -> String {
         self.path.display().to_string()
+    }
+
+    fn fd(&self) -> Option<BorrowedFd<'_>> {
+        Some(self.listener.as_fd())
     }
 }
 
@@ -126,6 +154,84 @@ impl Transport for UnixTransport {
         let stream = UnixStream::connect(addr)?;
         stream.set_nonblocking(true)?;
         Ok(Box::new(UnixConn(stream)))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Readiness
+// ---------------------------------------------------------------------------
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `struct timespec` as Linux lays it out (`time_t` is a `long`).
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
+}
+
+/// Blocks until a descriptor in `readable` has input (or its peer hung up),
+/// one in `writable` can take output, or `timeout` passes. Returns how many
+/// descriptors are ready; 0 means the timeout passed or a signal interrupted
+/// the wait, which callers treat alike since they poll every source next.
+/// With both sets empty this is a plain sleep of `timeout`.
+#[allow(unsafe_code)]
+pub fn wait_ready(
+    readable: &[BorrowedFd<'_>],
+    writable: &[BorrowedFd<'_>],
+    timeout: Duration,
+) -> io::Result<usize> {
+    let mut set: Vec<PollFd> = readable
+        .iter()
+        .map(|fd| (fd, POLLIN))
+        .chain(writable.iter().map(|fd| (fd, POLLOUT)))
+        .map(|(fd, events)| PollFd {
+            fd: fd.as_raw_fd(),
+            events,
+            revents: 0,
+        })
+        .collect();
+    let ts = Timespec {
+        tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+        // Below 10^9, so it fits even a 32-bit long.
+        tv_nsec: timeout.subsec_nanos() as c_long,
+    };
+    // SAFETY: `set` is a live, exclusively borrowed array of `set.len()`
+    // `pollfd` structs with the C layout, and every `fd` in it is borrowed
+    // from an open descriptor for the duration of the call. `ts` outlives the
+    // call, and a null signal mask means "leave the mask alone".
+    let rc = unsafe {
+        ppoll(
+            set.as_mut_ptr(),
+            set.len() as c_ulong,
+            &ts,
+            std::ptr::null(),
+        )
+    };
+    match usize::try_from(rc) {
+        Ok(n) => Ok(n),
+        Err(_) => match io::Error::last_os_error() {
+            e if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+            e => Err(e),
+        },
     }
 }
 
@@ -316,6 +422,86 @@ mod tests {
             Ok(_) => panic!("connect to a bare address must fail"),
         };
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    /// A connected Unix-socket pair whose temp dir is removed on drop.
+    struct UnixPair {
+        dir: PathBuf,
+        listener: Box<dyn Listener>,
+        client: Box<dyn Connection>,
+        server: Box<dyn Connection>,
+    }
+
+    impl UnixPair {
+        fn new(tag: &str) -> UnixPair {
+            let dir = std::env::temp_dir().join(format!("dps-{tag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let addr = dir.join("t.sock").display().to_string();
+            let mut listener = UnixTransport.listen(&addr).unwrap();
+            let client = UnixTransport.connect(&addr).unwrap();
+            let server = listener.accept().unwrap().expect("connect queued a peer");
+            UnixPair {
+                dir,
+                listener,
+                client,
+                server,
+            }
+        }
+    }
+
+    impl Drop for UnixPair {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    #[test]
+    fn wait_ready_wakes_as_soon_as_the_peer_writes() {
+        let mut pair = UnixPair::new("wake");
+        let fd = pair
+            .server
+            .fd()
+            .expect("unix connections have a descriptor");
+        let long = Duration::from_secs(20);
+        assert_eq!(wait_ready(&[fd], &[], Duration::ZERO).unwrap(), 0);
+        // An idle socket can take output right away.
+        assert_eq!(wait_ready(&[], &[fd], long).unwrap(), 1);
+
+        let client = &mut pair.client;
+        let (go, start) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                start.recv().unwrap();
+                client.send(b"x").unwrap();
+            });
+            let t0 = std::time::Instant::now();
+            go.send(()).unwrap();
+            assert_eq!(wait_ready(&[fd], &[], long).unwrap(), 1);
+            assert!(
+                t0.elapsed() < long / 2,
+                "woke on the write, not the timeout"
+            );
+        });
+    }
+
+    #[test]
+    fn wait_ready_times_out_with_nothing_ready() {
+        let pair = UnixPair::new("idle");
+        let fds = [pair.server.fd().unwrap(), pair.listener.fd().unwrap()];
+        let timeout = Duration::from_millis(20);
+        let t0 = std::time::Instant::now();
+        assert_eq!(wait_ready(&fds, &[], timeout).unwrap(), 0);
+        assert!(t0.elapsed() >= timeout);
+    }
+
+    #[test]
+    fn channel_endpoints_have_no_descriptor() {
+        let t = ChannelTransport::new();
+        let mut listener = t.listen("hub").unwrap();
+        let client = t.connect("hub").unwrap();
+        assert!(listener.fd().is_none());
+        assert!(client.fd().is_none());
+        assert!(listener.accept().unwrap().unwrap().fd().is_none());
     }
 
     #[test]

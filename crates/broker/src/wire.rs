@@ -9,6 +9,8 @@
 //! The full grammar, version rules and credit/close semantics are documented
 //! in `docs/protocol.md` at the repository root.
 
+use std::collections::VecDeque;
+
 use dps_content::{SharedEvent, SharedFilter};
 use serde::{Deserialize, Serialize};
 
@@ -168,6 +170,24 @@ impl std::error::Error for WireError {}
 /// Fails with [`WireError::FrameTooLarge`] if the body exceeds [`MAX_FRAME`] —
 /// the sender learns immediately instead of the receiver dropping the link.
 pub fn encode(frame: &Frame) -> Result<Vec<u8>, WireError> {
+    let body = encode_body(frame)?;
+    let mut out = Vec::with_capacity(4 + body.len());
+    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    out.extend_from_slice(body.as_bytes());
+    Ok(out)
+}
+
+/// Like [`encode`], but appends the frame to an output buffer instead of
+/// allocating one. Nothing is appended when encoding fails.
+pub fn encode_into(frame: &Frame, out: &mut VecDeque<u8>) -> Result<(), WireError> {
+    let body = encode_body(frame)?;
+    out.extend(&(body.len() as u32).to_be_bytes());
+    out.extend(body.as_bytes());
+    Ok(())
+}
+
+/// The JSON body of `frame`, checked against [`MAX_FRAME`].
+fn encode_body(frame: &Frame) -> Result<String, WireError> {
     let body = serde_json::to_string(frame).map_err(|e| WireError::Decode(e.to_string()))?;
     if body.len() > MAX_FRAME as usize {
         return Err(WireError::FrameTooLarge {
@@ -175,10 +195,7 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, WireError> {
             max: MAX_FRAME,
         });
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body.as_bytes());
-    Ok(out)
+    Ok(body)
 }
 
 /// Decodes the first complete frame of `buf`, returning it and the number of

@@ -7,9 +7,12 @@
 //!
 //! The client is poll-based and single-threaded like the broker: nothing here
 //! spawns threads, and no call blocks forever. [`Session::poll`] makes
-//! progress (reads frames, routes deliveries and acks); the `wait_*`
-//! convenience paths poll with a sleep and a deadline and are what the CLI
-//! tools use.
+//! progress (reads frames, routes deliveries and acks); the blocking paths
+//! (request acks, [`Subscriber::recv_timeout`]) wait on the connection with
+//! `dps_broker::wait_ready` until it has input — or can take output still
+//! queued — or their deadline passes, so a reply is handled as soon as it
+//! lands. A connection without a descriptor (an in-process transport) is
+//! polled every 200 µs instead.
 //!
 //! # Credit
 //!
@@ -29,11 +32,14 @@ use std::time::{Duration, Instant};
 
 use dps::{Delivery, DpsError};
 use dps_broker::wire::{self, Frame, FrameReader, PubRef, PROTOCOL_VERSION};
-use dps_broker::{Connection, Transport};
+use dps_broker::{wait_ready, Connection, Transport};
 use dps_content::{SharedEvent, SharedFilter};
 
 /// Default per-subscription credit window.
 pub const DEFAULT_CREDIT: u32 = 64;
+
+/// How often a blocking call re-polls a connection it cannot wait on.
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Per-subscription knobs for [`Session::subscriber`].
 #[derive(Debug, Clone, Copy)]
@@ -78,9 +84,7 @@ struct Inner {
 
 impl Inner {
     fn queue(&mut self, frame: &Frame) -> Result<(), DpsError> {
-        let bytes = wire::encode(frame).map_err(|e| DpsError::Protocol(e.to_string()))?;
-        self.out.extend(bytes);
-        Ok(())
+        wire::encode_into(frame, &mut self.out).map_err(|e| DpsError::Protocol(e.to_string()))
     }
 
     /// Non-blocking progress: flush pending output, read frames, route them.
@@ -202,10 +206,29 @@ impl Inner {
             if let Some(reason) = &self.closed_reason {
                 return Err(DpsError::Transport(reason.clone()));
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(DpsError::Transport(format!("timed out waiting for {what}")));
             }
-            std::thread::sleep(Duration::from_micros(200));
+            self.wait_io(deadline - now);
+        }
+    }
+
+    /// Blocks until the link has input, or can take output still queued, for
+    /// at most `timeout`.
+    fn wait_io(&self, timeout: Duration) {
+        let Some(fd) = self.conn.fd() else {
+            std::thread::sleep(timeout.min(POLL_INTERVAL));
+            return;
+        };
+        let writable = if self.out.is_empty() {
+            &[][..]
+        } else {
+            &[fd][..]
+        };
+        if wait_ready(&[fd], writable, timeout).is_err() {
+            // The next poll surfaces a broken link; just do not spin.
+            std::thread::sleep(timeout.min(POLL_INTERVAL));
         }
     }
 
@@ -444,17 +467,20 @@ impl Subscriber {
         out
     }
 
-    /// Polls until a delivery arrives or `timeout` passes.
+    /// Waits until a delivery arrives or `timeout` passes. Returns early with
+    /// `None` once the subscription or its link is closed.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Delivery> {
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(d) = self.recv() {
                 return Some(d);
             }
-            if Instant::now() >= deadline || !self.inbox.borrow().open {
+            let now = Instant::now();
+            let inner = self.inner.borrow();
+            if now >= deadline || !self.inbox.borrow().open || inner.closed_reason.is_some() {
                 return None;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            inner.wait_io(deadline - now);
         }
     }
 

@@ -105,9 +105,9 @@ impl DpsNetwork {
     pub fn new_sharded(cfg: DpsConfig, seed: u64, shards: usize) -> Self {
         DpsNetwork {
             sim: Sim::new_sharded(seed, shards),
+            sink: Arc::new(CountingSink::for_config(&cfg)),
             node_cfg: Arc::new(cfg.clone()),
             cfg,
-            sink: Arc::new(CountingSink::new()),
             oracle: ForestModel::new(),
             filters: FilterIndex::new(),
             match_scratch: MatchScratch::new(),
@@ -570,6 +570,21 @@ impl DpsNetwork {
         } else {
             delivered as f64 / expected as f64
         }
+    }
+
+    /// Forgets per-publication history: the ground-truth records behind
+    /// [`reports`](Self::reports), the latency summaries and the delivery
+    /// ratios, and the sink's contact and notify pairs — and the simulator's
+    /// completed traffic windows ([`Sim::clear_metrics_windows`]). All of it
+    /// is observational — no node, message or watch queue is touched, so the
+    /// run continues exactly as it would have — and all of it grows with
+    /// every publication or step. Long-lived hosts (the served broker) call
+    /// this to keep memory flat; afterwards the measurements cover only what
+    /// happened since.
+    pub fn clear_history(&mut self) {
+        self.pubs.clear();
+        self.sink.clear_history();
+        self.sim.clear_metrics_windows();
     }
 
     /// The instrumentation sink (contact/notify pairs).

@@ -13,7 +13,9 @@ use std::sync::Mutex;
 use dps_content::{Event, SharedEvent};
 use dps_sim::{NodeId, Step};
 
+use crate::config::DpsConfig;
 use crate::msg::PubId;
+use crate::seen::SeenCache;
 
 /// Observer of protocol-level delivery milestones.
 ///
@@ -49,9 +51,11 @@ impl StatsSink for NoopSink {
 /// Sufficient for all the paper's measurements at the scales of the reduced
 /// experiments, and for the full 10k × 10k Table 1 runs it stays within a few
 /// hundred MB thanks to the compact pair encoding.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CountingSink {
     inner: Mutex<CountingInner>,
+    /// Publication ids each watch queue remembers for dedup.
+    watch_window: usize,
 }
 
 #[derive(Debug, Default)]
@@ -66,16 +70,34 @@ struct CountingInner {
     watched: HashMap<NodeId, WatchQueue>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WatchQueue {
-    seen: HashSet<PubId>,
+    /// Bounded like the node's own dedup caches, so a long-lived watch does
+    /// not grow with every publication it ever saw.
+    seen: SeenCache<PubId>,
     queue: Vec<(PubId, SharedEvent)>,
 }
 
+impl Default for CountingSink {
+    fn default() -> Self {
+        CountingSink::for_config(&DpsConfig::default())
+    }
+}
+
 impl CountingSink {
-    /// New empty sink.
+    /// New empty sink, sized for nodes running the default [`DpsConfig`].
     pub fn new() -> Self {
         CountingSink::default()
+    }
+
+    /// New empty sink for nodes running `cfg`. Each watch queue dedups over
+    /// the last `4 × cfg.seen_cap` publications: the node's own route-dedup
+    /// window, beyond which the node itself may deliver a publication again.
+    pub fn for_config(cfg: &DpsConfig) -> Self {
+        CountingSink {
+            inner: Mutex::default(),
+            watch_window: 4 * cfg.seen_cap,
+        }
     }
 
     /// Number of distinct nodes contacted by `id`.
@@ -131,10 +153,27 @@ impl CountingSink {
         }
     }
 
+    /// Forgets every contact and notify pair recorded so far. Watch queues
+    /// are untouched: they carry deliveries, not history.
+    pub fn clear_history(&self) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.contacts.clear();
+        inner.notifies.clear();
+    }
+
     /// Starts retaining delivery payloads for `node`. Idempotent. Deliveries
     /// that happened before the watch began are not replayed.
     pub fn watch(&self, node: NodeId) {
-        self.inner.lock().unwrap().watched.entry(node).or_default();
+        let window = self.watch_window;
+        self.inner
+            .lock()
+            .unwrap()
+            .watched
+            .entry(node)
+            .or_insert_with(|| WatchQueue {
+                seen: SeenCache::new(window),
+                queue: Vec::new(),
+            });
     }
 
     /// Stops retaining payloads for `node` and discards anything queued.
@@ -251,6 +290,48 @@ mod tests {
         s.on_deliver(q, n1, &ev, 5);
         s.drain_deliveries(n1, &mut got);
         assert!(got.is_empty(), "unwatch discards and stops retention");
+    }
+
+    #[test]
+    fn watch_dedup_forgets_ids_past_its_window() {
+        // A window of 4 × seen_cap = 4 publication ids.
+        let s = CountingSink::for_config(&DpsConfig {
+            seen_cap: 1,
+            ..DpsConfig::default()
+        });
+        let n = NodeId::from_index(1);
+        let ev: Event = "a = 1".parse().unwrap();
+        let id = |seq| PubId(NodeId::from_index(0), seq);
+        s.watch(n);
+        for seq in 1..=5 {
+            s.on_deliver(id(seq), n, &ev, 0);
+        }
+        s.on_deliver(id(2), n, &ev, 1); // inside the window: deduped
+        s.on_deliver(id(1), n, &ev, 1); // evicted by 5: queued again
+        let mut got = Vec::new();
+        s.drain_deliveries(n, &mut got);
+        let seqs: Vec<u32> = got.iter().map(|(p, _)| p.1).collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5, 1]);
+        let inner = s.inner.lock().unwrap();
+        assert_eq!(inner.watched[&n].seen.len(), 4, "dedup memory is capped");
+    }
+
+    #[test]
+    fn clear_history_keeps_watch_queues() {
+        let s = CountingSink::new();
+        let p = PubId(NodeId::from_index(0), 1);
+        let n = NodeId::from_index(1);
+        let ev: Event = "a = 1".parse().unwrap();
+        s.watch(n);
+        s.on_contact(p, n, 1);
+        s.on_notify(p, n, 1);
+        s.on_deliver(p, n, &ev, 1);
+        s.clear_history();
+        assert_eq!((s.total_contacts(), s.total_notifies()), (0, 0));
+        s.on_deliver(p, n, &ev, 2); // the dedup window survives the clear
+        let mut got = Vec::new();
+        s.drain_deliveries(n, &mut got);
+        assert_eq!(got.len(), 1);
     }
 
     #[test]

@@ -437,6 +437,17 @@ impl<P: Process> Sim<P> {
         merged
     }
 
+    /// Forgets the completed metrics windows (one per-node counter set per
+    /// window, so they grow with every step). Totals, drop counts and the
+    /// current window stay; [`metrics`](Sim::metrics) then lists only the
+    /// windows completed since. Observational only: no node or message is
+    /// touched.
+    pub fn clear_metrics_windows(&mut self) {
+        for sh in &mut self.shards {
+            sh.metrics.clear_windows();
+        }
+    }
+
     /// A summary snapshot of the run.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
@@ -779,6 +790,29 @@ mod tests {
         assert_eq!(sim.nth_alive(1), Some(ids[2]));
         assert_eq!(sim.nth_alive(2), Some(ids[4]));
         assert_eq!(sim.nth_alive(3), None);
+    }
+
+    #[test]
+    fn clearing_metrics_windows_keeps_totals_and_later_windows() {
+        let mut sim: Sim<Forwarder> = Sim::new_sharded(3, 2);
+        for _ in 0..5 {
+            sim.add_node(Forwarder { n: 5, seen: vec![] });
+        }
+        sim.post(NodeId::from_index(0), TestMsg::Token(1_000));
+        sim.run(250);
+        let before = sim.metrics();
+        assert_eq!(before.windows().len(), 2);
+        sim.clear_metrics_windows();
+        let after = sim.metrics();
+        assert!(after.windows().is_empty());
+        assert_eq!(
+            after.total_sent(MsgClass::Publication),
+            before.total_sent(MsgClass::Publication)
+        );
+        sim.run(100);
+        let windows = sim.metrics().windows().to_vec();
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].0, 200, "the window open at the clear completes");
     }
 
     #[test]

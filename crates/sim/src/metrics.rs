@@ -248,6 +248,12 @@ impl Metrics {
         }
     }
 
+    /// Forgets the completed windows; totals, drops and the current window
+    /// stay.
+    pub(crate) fn clear_windows(&mut self) {
+        self.history.clear();
+    }
+
     /// Counts one dropped message.
     pub(crate) fn on_drop(&mut self, reason: DropReason, class: MsgClass) {
         self.drops[reason.index()][class.index()] += 1;
